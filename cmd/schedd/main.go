@@ -43,6 +43,7 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -192,22 +193,8 @@ func runServer(ctx context.Context, addr string, opts schedd.Options, traceFile 
 		return 1
 	}
 	fmt.Fprintf(stderr, "schedd: listening on http://%s\n", ln.Addr())
-	srv := &http.Server{Handler: d.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	code := 0
-	select {
-	case <-ctx.Done():
-		fmt.Fprintln(stderr, "schedd: signal received, draining")
-	case <-d.Done():
-		// A client drained the daemon over the wire.
-	case err := <-serveErr:
-		fmt.Fprintln(stderr, "schedd:", err)
-		code = 1
-	}
-	res, runErr := d.Shutdown()
-	srv.Close()
+	code := serve(ctx, d, ln, d.Handler(), stderr)
+	res, runErr := d.Shutdown() // serve drained it; this returns the result
 	if runErr != nil {
 		fmt.Fprintln(stderr, "schedd:", runErr)
 		return 1
@@ -221,6 +208,43 @@ func runServer(ctx context.Context, addr string, opts schedd.Options, traceFile 
 			fmt.Fprintln(stderr, "schedd: trace:", err)
 			return 1
 		}
+	}
+	return code
+}
+
+// shutdownGrace bounds how long a stopping server waits for in-flight
+// requests to complete before it closes their connections.
+const shutdownGrace = 10 * time.Second
+
+// serve serves h on ln until ctx is canceled, the daemon is drained or
+// serving fails, drains the daemon, and then stops the server
+// gracefully and returns the exit code. A wire-side drain closes
+// d.Done() inside the POST /v1/shutdown handler before that handler
+// writes its reply, so the server must let in-flight requests finish
+// rather than close their connections; event streams end on their own
+// once the daemon has drained.
+func serve(ctx context.Context, d *schedd.Daemon, ln net.Listener, h http.Handler, stderr io.Writer) int {
+	srv := &http.Server{Handler: h}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+
+	code := 0
+	select {
+	case <-ctx.Done():
+		fmt.Fprintln(stderr, "schedd: signal received, draining")
+	case <-d.Done():
+		// A client drained the daemon over the wire.
+	case err := <-serveErr:
+		fmt.Fprintln(stderr, "schedd:", err)
+		code = 1
+	}
+	d.Shutdown()
+	// ctx may be the canceled signal context; the grace period outlives it.
+	stop, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(stop); err != nil {
+		fmt.Fprintln(stderr, "schedd: closing connections still open after the grace period:", err)
+		srv.Close()
 	}
 	return code
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/schedd"
 	"repro/internal/swf"
 	"repro/internal/workload"
 )
@@ -205,5 +209,83 @@ func TestServeSpecAndSignal(t *testing.T) {
 		if !strings.Contains(out, line) {
 			t.Errorf("summary missing %q:\n%s", line, out)
 		}
+	}
+}
+
+// stopSignalListener reports when the server stops accepting: both a
+// graceful and a hard server stop begin by closing the listener.
+type stopSignalListener struct {
+	net.Listener
+	once    sync.Once
+	stopped chan struct{}
+}
+
+func (l *stopSignalListener) Close() error {
+	l.once.Do(func() { close(l.stopped) })
+	return l.Listener.Close()
+}
+
+// heldReply runs hold before the first byte of a response is written.
+type heldReply struct {
+	http.ResponseWriter
+	once sync.Once
+	hold func()
+}
+
+func (w *heldReply) WriteHeader(code int) {
+	w.once.Do(w.hold)
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *heldReply) Write(b []byte) (int, error) {
+	w.once.Do(w.hold)
+	return w.ResponseWriter.Write(b)
+}
+
+// TestShutdownReplyOutlivesServerStop forces the interleaving behind a
+// lost POST /v1/shutdown reply. The handler drains the daemon, which
+// wakes serve, and only then writes its reply. Here the reply is held
+// until serve has begun stopping the server; a stop that closes open
+// connections would cancel the request (ending the hold at once) and
+// the client would read EOF instead of the report.
+func TestShutdownReplyOutlivesServerStop(t *testing.T) {
+	d, err := schedd.New(schedd.Options{Workload: "live", MaxProcs: 64, Triple: core.EASY()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &stopSignalListener{Listener: inner, stopped: make(chan struct{})}
+	h := d.Handler()
+	held := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/shutdown" {
+			w = &heldReply{ResponseWriter: w, hold: func() {
+				select {
+				case <-ln.stopped:
+				case <-time.After(30 * time.Second):
+					t.Error("serve never stopped the server after the daemon drained")
+				}
+				select {
+				case <-r.Context().Done(): // the connection was closed under the handler
+				case <-time.After(50 * time.Millisecond):
+				}
+			}}
+		}
+		h.ServeHTTP(w, r)
+	})
+	exit := make(chan int, 1)
+	go func() { exit <- serve(context.Background(), d, ln, held, io.Discard) }()
+
+	var rep shutdownReport
+	if err := postJSON(&http.Client{}, "http://"+ln.Addr().String()+"/v1/shutdown", nil, &rep); err != nil {
+		t.Fatalf("shutdown reply lost: %v", err)
+	}
+	if rep.Metrics.MaxProcs != 64 || rep.Finished != 0 {
+		t.Fatalf("unexpected shutdown report: %+v", rep)
+	}
+	if code := <-exit; code != 0 {
+		t.Fatalf("serve exit %d", code)
 	}
 }

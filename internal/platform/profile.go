@@ -72,6 +72,11 @@ func (p *Profile) CopyFrom(src *Profile) {
 // segmentAt returns the index of the segment containing t (t must be >=
 // the profile start).
 func (p *Profile) segmentAt(t int64) int {
+	// Schedulers query the current instant, which Advance makes the
+	// origin: answer segment 0 without a search.
+	if t >= p.times[0] && (len(p.times) == 1 || t < p.times[1]) {
+		return 0
+	}
 	// The first segment with times[i] > t, minus one.
 	i := sort.Search(len(p.times), func(i int) bool { return p.times[i] > t })
 	if i == 0 {
@@ -187,6 +192,23 @@ func (p *Profile) FindStart(earliest, duration, procs int64) int64 {
 			return start
 		}
 	}
+}
+
+// FitsAt reports whether procs processors are continuously free for
+// duration seconds from t (t must be >= the profile start). It is
+// FindStart(t, duration, procs) == t without the search for a later
+// start, so it is the cheap test for "can this start at t?".
+func (p *Profile) FitsAt(t, duration, procs int64) bool {
+	if duration <= 0 {
+		duration = 1
+	}
+	end := t + duration
+	for k := p.segmentAt(t); k < len(p.times) && p.times[k] < end; k++ {
+		if p.available[k] < procs {
+			return false
+		}
+	}
+	return true
 }
 
 // Reserve subtracts procs processors during [from, to). It panics if the

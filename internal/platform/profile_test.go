@@ -167,3 +167,64 @@ func TestProfileIncrementalMatchesRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileSegmentAtOrigin covers the origin fast path of segmentAt
+// next to the search it short-cuts: instants in the first segment
+// answer 0, the first breakpoint and later fall through to the search,
+// and instants before the origin still panic.
+func TestProfileSegmentAtOrigin(t *testing.T) {
+	p := NewProfile(100, 10)
+	for _, at := range []int64{100, 101, InfiniteTime} {
+		if got := p.segmentAt(at); got != 0 {
+			t.Fatalf("single segment: segmentAt(%d) = %d, want 0", at, got)
+		}
+	}
+	p.Reserve(150, 200, 4)
+	for _, tc := range []struct{ at, want int64 }{
+		{100, 0}, {149, 0}, {150, 1}, {199, 1}, {200, 2}, {InfiniteTime, 2},
+	} {
+		if got := p.segmentAt(tc.at); int64(got) != tc.want {
+			t.Fatalf("segmentAt(%d) = %d, want %d", tc.at, got, tc.want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("segmentAt before the origin should panic")
+		}
+	}()
+	p.segmentAt(99)
+}
+
+// TestProfileFitsAtMatchesFindStart: FitsAt(t, d, p) is exactly
+// FindStart(t, d, p) == t, checked over random profiles at the origin,
+// on breakpoints and inside segments, for widths up to beyond the
+// capacity and for non-positive durations.
+func TestProfileFitsAtMatchesFindStart(t *testing.T) {
+	seed := int64(424242)
+	next := func(n int64) int64 {
+		seed = (seed*6364136223846793005 + 1442695040888963407) & 0x7fffffff
+		return seed % n
+	}
+	for round := 0; round < 200; round++ {
+		origin := next(100)
+		p := NewProfile(origin, 16)
+		for k := next(8); k > 0; k-- {
+			procs, dur := 1+next(16), 1+next(300)
+			if start := p.FindStart(origin+next(400), dur, procs); start < InfiniteTime {
+				p.Reserve(start, start+dur, procs)
+			}
+		}
+		times, _ := p.Segments()
+		probes := append(times, origin+next(500), origin+next(500))
+		for _, at := range probes {
+			for q := 0; q < 10; q++ {
+				dur, procs := next(400)-1, 1+next(18)
+				want := p.FindStart(at, dur, procs) == at
+				if got := p.FitsAt(at, dur, procs); got != want {
+					t.Fatalf("round %d: FitsAt(%d, %d, %d) = %v, FindStart says %v (profile %v)",
+						round, at, dur, procs, got, want, times)
+				}
+			}
+		}
+	}
+}

@@ -14,7 +14,13 @@
 // structures — a prediction-ordered backfill index for EASY-SJBF, a
 // cached shadow reservation for EASY, and a persistent availability
 // profile plus per-instant decision cache for Conservative — instead of
-// recomputing everything from scratch at every Pick. The from-scratch
+// recomputing everything from scratch at every Pick. Conservative also
+// plans lazily: a queued job's reservation is computed only when some
+// job at or behind it could start now. Reservations only ever remove
+// capacity, so a job that cannot start now on the profile holding its
+// predecessors' reservations so far cannot start now once all of them
+// are placed; the jobs behind the last one that could are never placed
+// at all, and no decision depends on them. The from-scratch
 // formulations survive as ReferenceEASY and ReferenceConservative (see
 // reference.go); property tests assert the incremental policies make
 // decision-for-decision identical schedules.
@@ -383,6 +389,17 @@ func (e *EASY) OnCapacityChange(int64, *platform.Machine) { e.resOK = false }
 // job it picked converts the job's queued reservation into an identical
 // running reservation and therefore changes nothing the remaining
 // decisions depend on.
+//
+// The scan is lazy: it places a queued job's reservation only when some
+// job at or behind it could start now. A reservation only subtracts
+// capacity, so the scratch profile holding the reservations of a queue
+// prefix has at least as much free capacity everywhere as the profile a
+// later job would see after every earlier job is placed. A job that does
+// not fit at now on the partial profile (platform.Profile.FitsAt) can
+// therefore not start now on the exact one either; the scan defers it
+// and places the deferred jobs exactly, in arrival order, only when a
+// job behind them passes that test. Jobs behind the last passing one are
+// never placed, and in a backlogged queue that is nearly all of them.
 type Conservative struct {
 	m *platform.Machine
 
@@ -396,15 +413,22 @@ type Conservative struct {
 
 	// scratch is the per-instant scan profile: base, plus [now, now+1)
 	// overlays for overdue running jobs (platform.ReleaseInstant
-	// semantics), plus the queued jobs' reservations in arrival order.
+	// semantics), plus the reservations of the first placed queued jobs
+	// in arrival order.
 	scratch *platform.Profile
 
 	// cache lists the jobs whose reservation is exactly now, in queue
-	// order; cacheIdx advances as they start.
+	// order; cacheIdx advances as they start. The scan has decided the
+	// first seen queued jobs and placed the first placed of them;
+	// queue[placed:seen] is the deferred tail, which cannot start now.
+	// Both counts follow the queue as the engine starts cached jobs
+	// (which sit before placed) and appends submissions.
 	cacheOK  bool
 	cacheNow int64
 	cache    []*job.Job
 	cacheIdx int
+	placed   int
+	seen     int
 
 	// degraded is set while the machine carries a pending drain: the
 	// drain absorbs predicted releases in release order, so per-job
@@ -480,7 +504,7 @@ func (c *Conservative) Pick(now int64, m *platform.Machine, queue []*job.Job) *j
 	if len(queue) == 0 {
 		return nil
 	}
-	if !c.cacheOK || c.cacheNow != now {
+	if !c.cacheOK || c.cacheNow != now || c.seen != len(queue) {
 		c.rescan(now, queue)
 	}
 	if c.cacheIdx < len(c.cache) {
@@ -489,8 +513,9 @@ func (c *Conservative) Pick(now int64, m *platform.Machine, queue []*job.Job) *j
 	return nil
 }
 
-// rescan recomputes the queued jobs' reservations for this instant and
-// fills the decision cache.
+// rescan recomputes, for this instant, the reservations of every queued
+// job up to the last one that could start now, and fills the decision
+// cache.
 func (c *Conservative) rescan(now int64, queue []*job.Job) {
 	c.scratch.CopyFrom(c.base)
 	// Overlay overdue running jobs: their processors are demonstrably
@@ -514,21 +539,42 @@ func (c *Conservative) rescan(now int64, queue []*job.Job) {
 		c.scratch.Reserve(now, now+1, c.ends[o.id].procs)
 	}
 	c.cache = c.cache[:0]
-	for _, j := range queue {
+	c.placed = 0
+	for i, j := range queue {
+		if !c.fitsNow(j, now) {
+			continue // deferred: cannot start now, whatever precedes it
+		}
+		for _, d := range queue[c.placed:i] {
+			c.scanJob(d, now)
+		}
 		c.scanJob(j, now)
+		c.placed = i + 1
 	}
+	c.seen = len(queue)
 	c.cacheNow = now
 	c.cacheIdx = 0
 	c.cacheOK = true
 }
 
+// span is the length of a queued job's reservation.
+func span(j *job.Job) int64 {
+	if j.Prediction < 1 {
+		return 1
+	}
+	return j.Prediction
+}
+
+// fitsNow reports whether j could start now on the scratch profile as
+// it stands. Placing more reservations only removes capacity, so a job
+// that fails it cannot start now once its predecessors are placed.
+func (c *Conservative) fitsNow(j *job.Job, now int64) bool {
+	return c.scratch.FitsAt(now, span(j), j.Procs)
+}
+
 // scanJob computes one queued job's reservation against the scratch
 // profile, appending it to the decision cache when it may start now.
 func (c *Conservative) scanJob(j *job.Job, now int64) {
-	duration := j.Prediction
-	if duration < 1 {
-		duration = 1
-	}
+	duration := span(j)
 	start := c.scratch.FindStart(now, duration, j.Procs)
 	if start == now {
 		c.cache = append(c.cache, j)
@@ -539,14 +585,25 @@ func (c *Conservative) scanJob(j *job.Job, now int64) {
 }
 
 // OnSubmit implements Policy. A job submitted at the cached instant
-// scans last in arrival order, so the reservations already computed are
-// unaffected: extend the cached scan instead of discarding it.
+// scans last in arrival order, so the decisions already made are
+// unaffected: a job that cannot start now joins the deferred tail, and
+// one that can is placed at once when nothing is deferred. Only a job
+// that could start now behind a deferred tail discards the cache — the
+// tail must be placed first, and the hook does not see the queue.
 func (c *Conservative) OnSubmit(j *job.Job, now int64) {
-	if c.cacheOK && c.cacheNow == now {
-		c.scanJob(j, now)
+	if !c.cacheOK || c.cacheNow != now {
+		c.cacheOK = false
 		return
 	}
-	c.cacheOK = false
+	if c.fitsNow(j, now) {
+		if c.placed != c.seen {
+			c.cacheOK = false
+			return
+		}
+		c.scanJob(j, now)
+		c.placed++
+	}
+	c.seen++
 }
 
 // OnStart implements Policy: the start converts the job's queued
@@ -555,7 +612,10 @@ func (c *Conservative) OnSubmit(j *job.Job, now int64) {
 // valid.
 func (c *Conservative) OnStart(j *job.Job, now int64) {
 	if c.cacheOK && c.cacheNow == now && c.cacheIdx < len(c.cache) && c.cache[c.cacheIdx] == j {
+		// The job leaves the queue from inside the placed prefix.
 		c.cacheIdx++
+		c.placed--
+		c.seen--
 	} else {
 		c.cacheOK = false
 	}
