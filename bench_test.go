@@ -435,53 +435,39 @@ func BenchmarkSchedSimRouted(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedSimStreamParallel prices the sharded federated streaming
-// driver against its sequential twin on the same three-cluster platform:
-// "sequential" is the single-goroutine federated stream, "shards-1" the
-// parallel machinery with one shard (pure coordination overhead, results
-// byte-identical by the differential suite), "shards-4" one event-loop
-// goroutine per cluster. All three produce identical global metrics; the
-// benchmark isolates what the router boundary and shard handoff cost.
-func BenchmarkSchedSimStreamParallel(b *testing.B) {
+// BenchmarkSchedSimStreamFederated prices the federated streaming
+// driver on a heterogeneous three-cluster platform: per-submission
+// routing, speed scaling and one policy session per cluster over a
+// lazily pulled workload.
+func BenchmarkSchedSimStreamFederated(b *testing.B) {
 	w := benchWorkload(b, "KTH-SP2")
 	clusters := []platform.Cluster{
 		{Name: "big", Procs: w.MaxProcs},
 		{Name: "fast", Procs: w.MaxProcs / 2, Speed: 1.5},
 		{Name: "slow", Procs: w.MaxProcs / 2, Speed: 0.5},
 	}
-	run := func(shards int) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fed := metrics.NewFederated(len(clusters))
-				res, err := sim.RunFederatedStream(w.Name, workload.FromWorkload(w), sim.FederatedConfig{
-					Clusters: clusters,
-					Router:   &sched.RoundRobin{},
-					Shards:   shards,
-					Sink:     fed,
-					Session: func() sim.Config {
-						return sim.Config{
-							Policy:    sched.NewEASY(sched.SJBFOrder),
-							Predictor: predict.NewUserAverage(2),
-							Corrector: correct.Incremental{},
-						}
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fed := metrics.NewFederated(len(clusters))
+		res, err := sim.RunFederatedStream(w.Name, workload.FromWorkload(w), sim.FederatedConfig{
+			Clusters: clusters,
+			Router:   &sched.RoundRobin{},
+			Sink:     fed,
+			Session: func() sim.Config {
+				return sim.Config{
+					Policy:    sched.NewEASY(sched.SJBFOrder),
+					Predictor: predict.NewUserAverage(2),
+					Corrector: correct.Incremental{},
 				}
-				if g := fed.Global(); res.Finished != g.Finished() {
-					b.Fatalf("sink saw %d of %d finishes", g.Finished(), res.Finished)
-				}
-			}
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g := fed.Global(); res.Finished != g.Finished() {
+			b.Fatalf("sink saw %d of %d finishes", g.Finished(), res.Finished)
 		}
 	}
-	// The "=" naming (not "shards-1") keeps benchdiff's GOMAXPROCS
-	// suffix stripping from collapsing the sub-benchmarks into one
-	// baseline entry.
-	b.Run("sequential", run(0))
-	b.Run("shards=1", run(1))
-	b.Run("shards=4", run(4))
 }
 
 // BenchmarkSchedSimStreamHugeThroughput is the headline throughput

@@ -104,7 +104,6 @@ func run() {
 	resume := flag.Bool("resume", false, "skip cells already recorded in the -out journal")
 	perf := flag.Bool("perf", false, "print per-workload performance counters to stderr")
 	stream := flag.Bool("stream", false, "run every cell on the bounded-memory streaming engine (same tables, O(live jobs) per cell)")
-	shards := flag.Int("shards", 0, "with -clusters and -stream: run each cell on the parallel sharded federated driver with this many per-cluster event-loop goroutines (0 = sequential; results are byte-identical for every shard count)")
 	memLimit := flag.Int("memlimit", 0, "soft memory cap in MiB for the whole process (0 = none); pairs with -stream for big grids on small machines")
 	specPath := flag.String("spec", "", "run the experiment described by this spec file (see specs/ and docs/WORKLOADS.md); other flags override its fields")
 	validate := flag.Bool("validate", false, "with -spec: parse and resolve the spec, print its shape, and exit without simulating")
@@ -138,20 +137,6 @@ func run() {
 	}
 	if *routingFlag != "" && *clustersFlag == "" && *specPath == "" {
 		usageError("-routing needs -clusters (a single-machine grid has nothing to route)")
-	}
-	if *shards != 0 {
-		if *shards < 0 {
-			usageError("-shards must be >= 0 (0 = sequential), got %d", *shards)
-		}
-		if *clustersFlag == "" && *specPath == "" {
-			usageError("-shards needs -clusters (the sharded driver is federated)")
-		}
-		if !*stream {
-			usageError("-shards needs -stream (the sharded driver is the streaming engine)")
-		}
-		if *perf {
-			usageError("-shards conflicts with -perf (the sharded driver collects no stage histograms)")
-		}
 	}
 	var clusters []platform.Cluster
 	var routings []string
@@ -214,8 +199,6 @@ func run() {
 				ov.Perf = perf
 			case "stream":
 				ov.Stream = stream
-			case "shards":
-				ov.Shards = shards
 			case "table":
 				if *table != 0 {
 					ov.Tables = []int{*table}
@@ -260,7 +243,7 @@ func run() {
 			feds[i] = campaign.Federation{Clusters: clusters, Routing: r}
 		}
 		fc := &campaign.FederatedCampaign{Federations: feds, Seed: *seed, Parallelism: *par, Stream: *stream,
-			Shards: *shards, Tracer: tracer, Profile: *perf}
+			Tracer: tracer, Profile: *perf}
 		runFederatedGrid(ctx, fc, nil, *jobs, *out, *resume, *perf)
 		return
 	}
@@ -368,9 +351,6 @@ func printSpecShape(s *spec.Spec) {
 	fmt.Printf("  seed        %d\n", s.Seed)
 	if s.Stream {
 		fmt.Printf("  stream      true\n")
-	}
-	if s.Shards > 0 {
-		fmt.Printf("  shards      %d\n", s.Shards)
 	}
 	fmt.Printf("  workloads   %d: %s\n", len(cfgs), strings.Join(names, ", "))
 	fmt.Printf("  triples     %d\n", s.TripleCount())

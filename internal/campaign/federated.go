@@ -96,13 +96,6 @@ type FederatedCampaign struct {
 	// Campaign.Stream; per-cluster validation is then the differential
 	// layer's burden).
 	Stream bool
-	// Shards runs each streaming cell on the parallel sharded federated
-	// driver with this many per-cluster event-loop goroutines (see
-	// sim.FederatedConfig.Shards; results are byte-identical to the
-	// sequential engine for every shard count). 0 keeps the sequential
-	// driver. Requires Stream and conflicts with Profile (the sharded
-	// driver does not collect stage histograms).
-	Shards int
 	// Progress, Journal and Resume behave exactly as on Campaign.
 	Progress func(done, total int)
 	Journal  *Journal
@@ -120,17 +113,6 @@ type FederatedCampaign struct {
 func (c *FederatedCampaign) Run(ctx context.Context) ([]FederatedResult, error) {
 	if len(c.Federations) == 0 {
 		return nil, fmt.Errorf("campaign: federated campaign needs at least one federation")
-	}
-	if c.Shards != 0 {
-		if c.Shards < 0 {
-			return nil, fmt.Errorf("campaign: shards must be >= 0, got %d", c.Shards)
-		}
-		if !c.Stream {
-			return nil, fmt.Errorf("campaign: shards requires the streaming engine (set Stream)")
-		}
-		if c.Profile {
-			return nil, fmt.Errorf("campaign: shards conflicts with stage profiling (the sharded driver collects no histograms)")
-		}
 	}
 	triples := c.Triples
 	if len(triples) == 0 {
@@ -181,7 +163,7 @@ func (c *FederatedCampaign) Run(ctx context.Context) ([]FederatedResult, error) 
 	err := g.run(ctx, func(i int, seed uint64) error {
 		wi, fi, ti := i/(nf*nt), (i/nt)%nf, i%nt
 		fed := c.Federations[fi]
-		fr, err := runOneFederated(c.Workloads[wi], fed, topologies[fi], triples[ti], c.Stream, c.Shards, c.Tracer, c.Profile)
+		fr, err := runOneFederated(c.Workloads[wi], fed, topologies[fi], triples[ti], c.Stream, c.Tracer, c.Profile)
 		if err != nil {
 			return err
 		}
@@ -219,7 +201,7 @@ func (r CellRecord) federatedResult(tr core.Triple, routing string) FederatedRes
 // The preloading path validates the realized schedule cluster by
 // cluster; the streaming path trusts the differential layer, as the
 // single-machine harness does.
-func runOneFederated(w *trace.Workload, fed Federation, topology string, tr core.Triple, stream bool, shards int, tracer obs.Tracer, profile bool) (FederatedResult, error) {
+func runOneFederated(w *trace.Workload, fed Federation, topology string, tr core.Triple, stream bool, tracer obs.Tracer, profile bool) (FederatedResult, error) {
 	clusters, err := platform.Normalize(fed.Clusters)
 	if err != nil {
 		return FederatedResult{}, fmt.Errorf("campaign: federation %s: %w", fed.label(), err)
@@ -241,7 +223,6 @@ func runOneFederated(w *trace.Workload, fed Federation, topology string, tr core
 	}
 	var res *sim.Result
 	if stream {
-		cfg.Shards = shards
 		res, err = sim.RunFederatedStream(w.Name, workload.FromWorkload(w), cfg)
 	} else {
 		res, err = sim.RunFederated(w, cfg)

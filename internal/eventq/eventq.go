@@ -14,10 +14,7 @@
 // capacity, or how the queue was grown. Reserve and Reset let the
 // simulation drivers pool the backing array across runs without
 // touching that order: a reused queue is allocation-free on the hot
-// path and still pops the exact sequence a fresh queue would. Each
-// per-cluster event loop in the sharded federated driver owns its own
-// Queue, so cross-shard concurrency never reorders same-instant events
-// within a cluster.
+// path and still pops the exact sequence a fresh queue would.
 package eventq
 
 // Kind classifies simulation events. The numeric order is the processing
@@ -127,8 +124,7 @@ func (q *Queue[T]) Pop() (Event[T], bool) {
 
 // Peek returns the ordering key — timestamp and kind — of the earliest
 // event without removing it. The third return value is false when the
-// queue is empty. The sharded federated driver uses it to advance a
-// shard-local queue exactly up to a sequencing cutoff.
+// queue is empty.
 func (q *Queue[T]) Peek() (int64, Kind, bool) {
 	if len(q.items) == 0 {
 		return 0, 0, false

@@ -31,7 +31,7 @@ type slot struct {
 // sim.JobSink's no-retention rule.
 //
 // The zero value is ready to use. An Arena is not safe for concurrent
-// use; the sharded driver gives each shard its own.
+// use.
 type Arena struct {
 	free  []*Job
 	chunk []slot

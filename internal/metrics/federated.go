@@ -8,13 +8,10 @@ import (
 // Federated is the sink of a federated run: one Collector per cluster,
 // split by the destination the router stamped on each job, plus a
 // merged global view over the whole platform. Observations touch only
-// the destination cluster's collector, which makes the sink shard-safe:
-// the parallel federated driver hands each cluster's collector to the
-// goroutine that owns that cluster (via ClusterObserver) and no two
-// goroutines ever write the same accumulator. The global figures are
-// assembled on demand by merging the per-cluster collectors in platform
-// order — a deterministic fold, so the sequential and sharded drivers
-// produce bit-identical global metrics.
+// the destination cluster's collector. The global figures are assembled
+// on demand by merging the per-cluster collectors in platform order — a
+// deterministic fold, so the same observations always produce
+// bit-identical global metrics.
 type Federated struct {
 	// Clusters holds one collector per cluster, in platform order.
 	Clusters []*Collector
@@ -37,14 +34,10 @@ func (f *Federated) Observe(j *job.Job) {
 	}
 }
 
-// ClusterObserver implements sim.ClusterSink: it exposes the one
-// collector the given cluster's shard may observe into.
-func (f *Federated) ClusterObserver(cluster int) any { return f.Clusters[cluster] }
-
 // Global merges the per-cluster collectors, in platform order, into a
 // fresh platform-wide collector. The fold order is fixed, so the result
-// is deterministic and independent of which driver (sequential or
-// sharded) filled the per-cluster collectors.
+// is deterministic and independent of which driver filled the
+// per-cluster collectors.
 func (f *Federated) Global() *Collector {
 	g := NewCollector()
 	for _, c := range f.Clusters {
@@ -53,8 +46,5 @@ func (f *Federated) Global() *Collector {
 	return g
 }
 
-// statically assert the sink contracts.
-var (
-	_ sim.JobSink     = (*Federated)(nil)
-	_ sim.ClusterSink = (*Federated)(nil)
-)
+// statically assert the sink contract.
+var _ sim.JobSink = (*Federated)(nil)

@@ -62,8 +62,8 @@ func (c *Collector) Observe(j *job.Job) {
 // and the quantile sketches merge weight-preservingly (stats.Sketch's
 // Merge). Merging the same collectors in the same order is fully
 // deterministic, which is how a federated sink assembles its global view
-// from per-cluster collectors with bit-identical results on the
-// sequential and sharded drivers. o is left untouched.
+// from per-cluster collectors with bit-identical results. o is left
+// untouched.
 func (c *Collector) Merge(o *Collector) {
 	c.finished += o.finished
 	c.sumBsld += o.sumBsld

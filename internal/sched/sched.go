@@ -41,10 +41,7 @@
 // Routers (router.go) extend the same contract to the federated layer:
 // Route is a pure function of the job and the per-cluster states, and
 // the engine consults it exactly once per job in trace submission
-// order. The parallel sharded driver preserves that sequencing — the
-// router remains a global serialization point even when every cluster
-// runs on its own goroutine — which is what makes sharded runs
-// byte-identical to sequential ones (see the sim package comment).
+// order (see the sim package comment).
 //
 // # Checkpointing versus replay
 //

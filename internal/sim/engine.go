@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/predict"
 	"repro/internal/sched"
+	"repro/internal/swf"
 )
 
 // payload is the event-queue payload: a job for job events, a processor
@@ -61,13 +63,27 @@ type clusterState struct {
 	sub *ClusterResult
 }
 
-// engine is the shared event core all drivers run: Run/RunFederated
-// (preloading) and RunStream/RunFederatedStream (bounded memory)
-// construct one, seed its event queue, and feed popped events to handle.
-// All scheduling semantics live here so the paths cannot drift. The
-// engine drives one event loop over N independent cluster states; every
-// event affects exactly one cluster, and only that cluster's policy is
-// offered start decisions at the event's instant.
+// dequeue removes j from the cluster's waiting queue, reporting whether
+// it was there.
+func (c *clusterState) dequeue(j *job.Job) bool {
+	for i, qj := range c.queue {
+		if qj == j {
+			c.queue = append(c.queue[:i], c.queue[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// engine is the shared event core all drivers run: every entry point
+// initializes one (single, FederatedConfig.setup), seeds its event queue
+// (preload, pushScript) and hands it to run, which tops the queue up
+// from the run's intake (a submission source or live commands) and
+// feeds popped events to handle. All scheduling semantics live here so
+// the paths cannot drift. The engine drives one event loop over N
+// independent cluster states; every event affects exactly one cluster,
+// and only that cluster's policy is offered start decisions at the
+// event's instant.
 type engine struct {
 	corrector correct.Corrector
 	clusters  []*clusterState
@@ -80,8 +96,9 @@ type engine struct {
 	q     eventq.Queue[payload]
 	sink  JobSink
 	res   *Result
-	// targets is non-nil only on streaming runs with a cancellation
-	// script; see cancelTarget.
+	// targets is non-nil only on live runs and on streaming runs with a
+	// cancellation script (a lookup in the nil map finds nothing, so
+	// preloading runs track no job); see cancelTarget.
 	targets map[int64]*cancelTarget
 	// arena, when non-nil (streaming runs), recycles a job's slot after
 	// its natural completion retires it. Only the Finish path recycles:
@@ -91,6 +108,18 @@ type engine struct {
 	// expiry instant is strictly before the completion instant — and by
 	// the JobSink contract no observer retains the pointer.
 	arena *job.Arena
+	// widest is the widest cluster's processor count: the admission
+	// bound for any job.
+	widest int64
+	// intake names a pulled run's intake ("stream" or "live") in its
+	// errors; lastSubmit is the admission-order watermark (see admit).
+	intake     string
+	lastSubmit int64
+	// cutoff is a live run's advance promise (see run and RunLive); it
+	// stays at math.MinInt64 on every other run.
+	cutoff int64
+	// start is the run's wall-clock start, for Perf.WallNanos.
+	start time.Time
 
 	// Flight-recorder state (trace.go). tracer and prof are nil on
 	// unobserved runs; timed caches whether either is live so the hot
@@ -100,22 +129,114 @@ type engine struct {
 	timed   bool
 	eligIdx []int
 	elig    []string
-
-	// onPush, when non-nil, observes every cluster-local event (Finish,
-	// Expiry) the engine schedules. The traced sharded driver uses it to
-	// record push parentage for the deterministic trace replay
-	// (parallel.go); every other run leaves it nil.
-	onPush func(t int64, k eventq.Kind)
 }
 
-// push schedules a cluster-local event, notifying the push observer on
-// instrumented sharded runs. Every Finish/Expiry push goes through
-// here; the global kinds are pushed by the drivers directly.
-func (e *engine) push(t int64, k eventq.Kind, p payload) {
-	e.q.Push(t, k, p)
-	if e.onPush != nil {
-		e.onPush(t, k)
+// init starts a run's engine with no clusters yet; addCluster builds
+// the platform. A nil router makes the run single-machine. Drivers keep
+// the engine in their own frame (it never escapes to the heap).
+func (e *engine) init(res *Result, router sched.Router, sink JobSink, tracer obs.Tracer, profile bool) {
+	*e = engine{
+		router:     router,
+		sink:       sink,
+		res:        res,
+		lastSubmit: math.MinInt64,
+		cutoff:     math.MinInt64,
+		start:      time.Now(),
 	}
+	e.instrument(tracer, profile)
+}
+
+// addCluster appends one member to the platform, running cfg's policy
+// and predictor. sub is the member's slot on Result.Clusters, nil on
+// single-machine runs.
+func (e *engine) addCluster(c platform.Cluster, cfg Config, sub *ClusterResult) {
+	e.clusters = append(e.clusters, &clusterState{
+		name:      c.Name,
+		speed:     c.SpeedFactor(),
+		machine:   platform.New(c.Procs),
+		queue:     make([]*job.Job, 0, 64),
+		policy:    cfg.Policy,
+		predictor: cfg.Predictor,
+		sub:       sub,
+	})
+	if c.Procs > e.widest {
+		e.widest = c.Procs
+	}
+}
+
+// tooWide is the admission error for a job no cluster can ever hold.
+func (e *engine) tooWide(rec *swf.Job) error {
+	if e.router == nil {
+		return fmt.Errorf("sim: job %d wider (%d) than machine (%d)", rec.JobNumber, rec.Procs(), e.widest)
+	}
+	return fmt.Errorf("sim: job %d wider (%d) than every cluster (widest %d)", rec.JobNumber, rec.Procs(), e.widest)
+}
+
+// run pops events until the queue drains and the intake closes, then
+// checks that every job left the system and closes the Result. A nil
+// next means a preloaded run: every event is queued already. Otherwise,
+// before each pop, run tops the queue up from the intake — next pulls
+// the next item and returns the instant it takes effect, apply pushes
+// its events — so everything taking effect at or before the next
+// event's instant is in the queue before that event pops (the kind
+// order then serializes the instant correctly).
+func (e *engine) run(next func() (int64, error), apply func() error) (*Result, error) {
+	var at int64
+	pending, closed := false, next == nil
+	for {
+		for !closed {
+			if !pending {
+				// Pull only when the queue cannot safely progress
+				// without the next item: the head sits at or past the
+				// advance cutoff (always, except on live runs).
+				if t, ok := e.q.PeekTime(); ok && t < e.cutoff {
+					break
+				}
+				t, err := next()
+				if err == io.EOF {
+					closed = true
+					break
+				}
+				if err != nil {
+					return nil, fmt.Errorf("sim: %s %q: %w", e.intake, e.res.Workload, err)
+				}
+				at, pending = t, true
+			}
+			if t, ok := e.q.PeekTime(); ok && at > t {
+				break
+			}
+			if err := apply(); err != nil {
+				return nil, err
+			}
+			pending = false
+		}
+
+		// The top-up loop only stops early with a non-empty queue, so
+		// an empty queue here means the intake is closed too.
+		ev, ok := e.pop()
+		if !ok {
+			break
+		}
+		e.res.Perf.Events++
+		e.handle(ev)
+	}
+
+	for _, c := range e.clusters {
+		if n := len(c.queue); n != 0 {
+			return nil, fmt.Errorf("sim: %d jobs never started (first: %d) — was every drain restored?", n, c.queue[0].ID)
+		}
+		if n := c.machine.RunningCount(); n != 0 {
+			return nil, fmt.Errorf("sim: %d jobs still running after the event queue drained", n)
+		}
+	}
+	// A single-cluster federation surfaces its sole capacity timeline at
+	// the Result level, exactly where a single-machine run records it.
+	if res := e.res; len(res.Clusters) == 1 && len(res.Clusters[0].CapacitySteps) > 0 {
+		res.CapacitySteps = append([]CapacityStep(nil), res.Clusters[0].CapacitySteps...)
+	}
+	e.finishProfile()
+	e.res.Perf.WallNanos = time.Since(e.start).Nanoseconds()
+	return e.res, nil
 }
 
 // scaleTime converts a reference-speed duration to a cluster running at
@@ -190,9 +311,9 @@ func (e *engine) startJob(c *clusterState, j *job.Job, now int64) {
 	if e.tracer != nil {
 		e.traceStart(c, j, now)
 	}
-	e.push(now+j.Runtime, eventq.Finish, payload{j: j})
+	e.q.Push(now+j.Runtime, eventq.Finish, payload{j: j})
 	if j.Prediction < j.Runtime {
-		e.push(now+j.Prediction, eventq.Expiry, payload{j: j})
+		e.q.Push(now+j.Prediction, eventq.Expiry, payload{j: j})
 	}
 }
 
@@ -219,58 +340,60 @@ func (e *engine) schedulePass(c *clusterState, now int64) {
 		if next == nil {
 			return
 		}
-		removed := false
-		for i, qj := range c.queue {
-			if qj == next {
-				c.queue = append(c.queue[:i], c.queue[i+1:]...)
-				removed = true
-				break
-			}
-		}
-		if !removed {
+		if !c.dequeue(next) {
 			panic(fmt.Sprintf("sim: policy %s picked job %d not in queue", c.policy.Name(), next.ID))
 		}
 		e.startJob(c, next, now)
 	}
 }
 
-// release frees a running job's processors and reports whether a
-// pending drain absorbed part of the release (a capacity change).
-func (e *engine) release(c *clusterState, j *job.Job) (capacityChanged bool) {
+// complete takes a running job out of the system at now: it frees the
+// processors, records the realized schedule and folds it into the
+// global and per-cluster makespans, notifies the predictor and the
+// policy, and retires the job. A killed job (a cancellation) ran
+// for exactly now-Start seconds, which becomes its realized runtime, and
+// reaches the policy through OnCancel instead of OnFinish.
+func (e *engine) complete(c *clusterState, j *job.Job, now int64, killed bool) {
 	before := c.machine.Capacity()
 	c.machine.Finish(j)
-	return c.machine.Capacity() != before
-}
-
-// target returns the streaming cancel bookkeeping for a job ID, nil when
-// not tracked (preloading runs, or jobs no script event names).
-func (e *engine) target(id int64) *cancelTarget {
-	if e.targets == nil {
-		return nil
+	j.Finished = true
+	j.End = now
+	if killed {
+		j.Runtime = now - j.Start
 	}
-	return e.targets[id]
-}
-
-// noteEnd folds a job's completion instant into the global and
-// per-cluster makespans.
-func (e *engine) noteEnd(c *clusterState, end int64) {
-	if end > e.res.Makespan {
-		e.res.Makespan = end
+	if now > e.res.Makespan {
+		e.res.Makespan = now
 	}
-	if c.sub != nil && end > c.sub.Makespan {
-		c.sub.Makespan = end
+	if c.sub != nil && now > c.sub.Makespan {
+		c.sub.Makespan = now
 	}
-}
-
-// retire marks a job's exit from the system: it is counted, its cancel
-// bookkeeping (if any) is closed so the pointer can be collected, and
-// the sink observes its realized schedule.
-func (e *engine) retire(c *clusterState, j *job.Job) {
+	e.observeFinish(c, j, now)
+	if killed {
+		c.policy.OnCancel(j, now)
+	} else {
+		c.policy.OnFinish(j, now)
+	}
+	if e.tracer != nil {
+		// A killed job still retires with a realized schedule; the
+		// finish event carries it, like the sink observation does.
+		e.traceFinish(c, j, now)
+	}
+	// A pending drain absorbing part of the release is a capacity change.
+	if c.machine.Capacity() != before {
+		e.recordCapacity(c, now)
+		if e.tracer != nil {
+			e.traceCapacity(c, now, 0)
+		}
+		c.policy.OnCapacityChange(now, c.machine)
+	}
+	// Retire: count the exit, close the cancel bookkeeping (if any) so
+	// the pointer can be collected, and let the sink observe the
+	// realized schedule.
 	e.res.Finished++
 	if c.sub != nil {
 		c.sub.Finished++
 	}
-	if tgt := e.target(j.ID); tgt != nil {
+	if tgt := e.targets[j.ID]; tgt != nil {
 		tgt.finished = true
 		tgt.j = nil
 	}
@@ -307,23 +430,7 @@ func (e *engine) handle(ev eventq.Event[payload]) {
 			return // stale: the job was killed by a cancellation
 		}
 		c = e.clusters[j.Cluster]
-		changed := e.release(c, j)
-		j.Finished = true
-		j.End = now
-		e.noteEnd(c, j.End)
-		e.observeFinish(c, j, now)
-		c.policy.OnFinish(j, now)
-		if e.tracer != nil {
-			e.traceFinish(c, j, now)
-		}
-		if changed {
-			e.recordCapacity(c, now)
-			if e.tracer != nil {
-				e.traceCapacity(c, now, 0)
-			}
-			c.policy.OnCapacityChange(now, c.machine)
-		}
-		e.retire(c, j)
+		e.complete(c, j, now, false)
 		if e.arena != nil {
 			e.arena.Recycle(j)
 		}
@@ -333,31 +440,26 @@ func (e *engine) handle(ev eventq.Event[payload]) {
 		if !runPass {
 			return
 		}
-	case eventq.Drain:
+	case eventq.Drain, eventq.Restore:
 		c = e.clusters[ev.Payload.cluster]
 		before := c.machine.Capacity()
-		c.machine.Drain(ev.Payload.procs)
+		delta := ev.Payload.procs
+		if ev.Kind == eventq.Drain {
+			c.machine.Drain(delta)
+			delta = -delta
+		} else {
+			c.machine.Restore(delta)
+		}
 		if c.machine.Capacity() != before {
 			e.recordCapacity(c, now)
 		}
 		if e.tracer != nil {
-			// Traced even when fully pending: the eventual capacity
-			// changed, which is what planning views react to.
-			e.traceCapacity(c, now, -ev.Payload.procs)
+			// Traced even when a drain is fully pending: the eventual
+			// capacity changed, which is what planning views react to.
+			e.traceCapacity(c, now, delta)
 		}
 		// Even a fully pending drain changes the eventual capacity
 		// every availability view plans against.
-		c.policy.OnCapacityChange(now, c.machine)
-	case eventq.Restore:
-		c = e.clusters[ev.Payload.cluster]
-		before := c.machine.Capacity()
-		c.machine.Restore(ev.Payload.procs)
-		if c.machine.Capacity() != before {
-			e.recordCapacity(c, now)
-		}
-		if e.tracer != nil {
-			e.traceCapacity(c, now, ev.Payload.procs)
-		}
 		c.policy.OnCapacityChange(now, c.machine)
 	case eventq.Expiry:
 		j := ev.Payload.j
@@ -390,7 +492,7 @@ func (e *engine) handle(ev eventq.Event[payload]) {
 			e.traceCorrect(c, j, now)
 		}
 		if j.PredictedEnd() < j.Start+j.Runtime {
-			e.push(j.PredictedEnd(), eventq.Expiry, payload{j: j})
+			e.q.Push(j.PredictedEnd(), eventq.Expiry, payload{j: j})
 		}
 	}
 	if c.sub != nil {
@@ -410,7 +512,7 @@ func (e *engine) handleCancel(p payload, now int64) (c *clusterState, runPass bo
 		// the source has not delivered yet (or never will): mark it so a
 		// later submission is dropped on arrival — the preloading path's
 		// "canceled before submission".
-		tgt := e.target(p.id)
+		tgt := e.targets[p.id]
 		if tgt == nil || tgt.finished || tgt.canceled {
 			return nil, false
 		}
@@ -427,7 +529,7 @@ func (e *engine) handleCancel(p payload, now int64) (c *clusterState, runPass bo
 	}
 	j.Canceled = true
 	e.res.Canceled++
-	if tgt := e.target(j.ID); tgt != nil {
+	if tgt := e.targets[j.ID]; tgt != nil {
 		tgt.canceled = true
 	}
 	c = e.clusters[j.Cluster]
@@ -440,42 +542,18 @@ func (e *engine) handleCancel(p payload, now int64) (c *clusterState, runPass bo
 		if c.sub != nil {
 			c.sub.Canceled++
 		}
-		changed := e.release(c, j)
-		j.Finished = true
-		j.End = now
-		j.Runtime = now - j.Start
-		e.noteEnd(c, j.End)
-		e.observeFinish(c, j, now)
-		c.policy.OnCancel(j, now)
-		if e.tracer != nil {
-			// A killed job still retires with a realized schedule; the
-			// finish event carries it, like the sink observation does.
-			e.traceFinish(c, j, now)
-		}
-		if changed {
-			e.recordCapacity(c, now)
-			if e.tracer != nil {
-				e.traceCapacity(c, now, 0)
-			}
-			c.policy.OnCapacityChange(now, c.machine)
-		}
-		e.retire(c, j)
+		e.complete(c, j, now, true)
 		return c, true
 	}
 	// Still waiting (or, if absent from the queue, not yet submitted —
 	// the Submit event will observe Canceled). A queued job was routed,
 	// so its cluster index is authoritative; an unrouted one leaves no
 	// per-cluster trace.
-	removed := false
-	for i, qj := range c.queue {
-		if qj == j {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			c.policy.OnCancel(j, now)
-			if c.sub != nil {
-				c.sub.Canceled++
-			}
-			removed = true
-			break
+	removed := c.dequeue(j)
+	if removed {
+		c.policy.OnCancel(j, now)
+		if c.sub != nil {
+			c.sub.Canceled++
 		}
 	}
 	if e.tracer != nil {
@@ -487,29 +565,8 @@ func (e *engine) handleCancel(p payload, now int64) (c *clusterState, runPass bo
 			e.traceCancel(nil, j, now)
 		}
 	}
-	if tgt := e.target(j.ID); tgt != nil {
+	if tgt := e.targets[j.ID]; tgt != nil {
 		tgt.j = nil // never runs; release the pointer
 	}
 	return c, true
-}
-
-// queuedJobs counts waiting jobs across every cluster, returning one of
-// them for error reporting.
-func (e *engine) queuedJobs() (n int, first *job.Job) {
-	for _, c := range e.clusters {
-		n += len(c.queue)
-		if first == nil && len(c.queue) > 0 {
-			first = c.queue[0]
-		}
-	}
-	return n, first
-}
-
-// runningJobs counts running jobs across every cluster.
-func (e *engine) runningJobs() int {
-	n := 0
-	for _, c := range e.clusters {
-		n += c.machine.RunningCount()
-	}
-	return n
 }

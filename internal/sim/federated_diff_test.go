@@ -2,9 +2,11 @@ package sim_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/rng"
@@ -243,6 +245,111 @@ func TestFederatedStreamOneClusterIdentical(t *testing.T) {
 			}
 			assertIdentical(t, label, str, fed, strSink, fedSink)
 			assertFederatedShape(t, label, fed)
+		}
+	}
+}
+
+// clusterSplitSink records the global retirement sequence and, beside
+// it, one sequence per destination cluster.
+type clusterSplitSink struct {
+	all *recordingSink
+	per []*recordingSink
+}
+
+func newClusterSplitSink(n int) *clusterSplitSink {
+	s := &clusterSplitSink{all: newRecordingSink(), per: make([]*recordingSink, n)}
+	for i := range s.per {
+		s.per[i] = newRecordingSink()
+	}
+	return s
+}
+
+func (s *clusterSplitSink) Observe(j *job.Job) {
+	s.all.Observe(j)
+	s.per[j.Cluster].Observe(j)
+}
+
+// TestFederatedStreamMultiClusterIdentical holds RunFederatedStream to
+// RunFederated on a heterogeneous four-cluster platform (mixed widths,
+// speeds 0.5 to 1.5) for every router, undisrupted, under a hand-built
+// script of cluster-targeted drains/restores and cancellations of
+// routed and not-yet-routed jobs, and under a generated script. The
+// Result counters, the per-cluster results and the per-cluster
+// retirement sequences must all agree exactly.
+func TestFederatedStreamMultiClusterIdentical(t *testing.T) {
+	cfg, err := workload.Scaled("KTH-SP2", 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters := []platform.Cluster{
+		{Name: "big", Procs: w.MaxProcs},
+		{Name: "mid", Procs: w.MaxProcs / 2, Speed: 1.5},
+		{Name: "slow", Procs: w.MaxProcs, Speed: 0.5},
+		{Name: "aux", Procs: w.MaxProcs / 2, Speed: 0.75},
+	}
+	edges := &scenario.Script{Name: "edges", Events: []scenario.Event{
+		// Unrouted: one cancel well before the job's submission, one at
+		// its exact submit instant (cancellations pop before submissions).
+		{Time: 0, Action: scenario.Cancel, JobID: w.Jobs[60].JobNumber},
+		{Time: w.Jobs[5].SubmitTime, Action: scenario.Cancel, JobID: w.Jobs[5].JobNumber},
+		// Routed: queued or running by the time the cancel fires; the
+		// repeat is stale.
+		{Time: w.Jobs[40].SubmitTime + 50, Action: scenario.Cancel, JobID: w.Jobs[40].JobNumber},
+		{Time: w.Jobs[40].SubmitTime + 50, Action: scenario.Cancel, JobID: w.Jobs[40].JobNumber},
+		{Time: w.Jobs[100].SubmitTime + 3600, Action: scenario.Cancel, JobID: w.Jobs[100].JobNumber},
+		{Time: 1000, Action: scenario.Drain, Procs: clusters[1].Procs / 2, Cluster: "mid"},
+		{Time: 50000, Action: scenario.Restore, Procs: clusters[1].Procs / 2, Cluster: "mid"},
+		{Time: 20000, Action: scenario.Drain, Procs: clusters[2].Procs / 4, Cluster: "slow"},
+		{Time: 80000, Action: scenario.Restore, Procs: clusters[2].Procs / 4, Cluster: "slow"},
+	}}
+	moderate, ok := scenario.IntensityByName("moderate")
+	if !ok {
+		t.Fatal("no moderate intensity")
+	}
+	scripts := []*scenario.Script{nil, edges, scenario.Generate(w, moderate, 0x4c)}
+	for _, routerName := range []string{"round-robin", "least-loaded", "queue-depth", "spillover"} {
+		for _, tr := range []core.Triple{core.EASYPlusPlus(), core.ConservativeBF()} {
+			for _, script := range scripts {
+				label := routerName + "/" + tr.Name()
+				if script != nil {
+					label += "/" + script.Name
+				}
+				run := func(stream bool) (*sim.Result, *clusterSplitSink) {
+					router, err := sched.NewRouter(routerName)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sink := newClusterSplitSink(len(clusters))
+					fed := fedOf(tr, clusters, router, script, sink)
+					var res *sim.Result
+					if stream {
+						res, err = sim.RunFederatedStream(w.Name, workload.FromWorkload(w), fed)
+					} else {
+						res, err = sim.RunFederated(w, fed)
+					}
+					if err != nil {
+						t.Fatalf("%s (stream=%v): %v", label, stream, err)
+					}
+					return res, sink
+				}
+				mem, memSink := run(false)
+				str, strSink := run(true)
+				assertIdentical(t, label, mem, str, memSink.all, strSink.all)
+				assertFederatedShape(t, label, mem)
+				if !reflect.DeepEqual(mem.Clusters, str.Clusters) {
+					t.Fatalf("%s: per-cluster results differ:\n mem: %+v\n str: %+v", label, mem.Clusters, str.Clusters)
+				}
+				for ci := range clusters {
+					ms, ss := memSink.per[ci].seq, strSink.per[ci].seq
+					if !reflect.DeepEqual(ms, ss) {
+						t.Fatalf("%s: cluster %s retirement sequences differ (%d vs %d jobs)", label, clusters[ci].Name, len(ms), len(ss))
+					}
+				}
+			}
 		}
 	}
 }

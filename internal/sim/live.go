@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"repro/internal/eventq"
 	"repro/internal/job"
-	"repro/internal/platform"
 	"repro/internal/swf"
 )
 
@@ -175,11 +173,6 @@ func (t *liveTracker) Observe(j *job.Job) {
 // unaffected. Memory is O(live jobs + cancellations): canceled IDs
 // keep a small bookkeeping entry for the rest of the run.
 func RunLive(name string, maxProcs int64, src CommandSource, cfg Config) (*Result, error) {
-	wallStart := time.Now()
-	corrector, err := checkConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
 	if maxProcs <= 0 {
 		return nil, fmt.Errorf("sim: live %q: machine size %d must be positive", name, maxProcs)
 	}
@@ -189,65 +182,31 @@ func RunLive(name string, maxProcs int64, src CommandSource, cfg Config) (*Resul
 	if !cfg.Script.Empty() {
 		return nil, fmt.Errorf("sim: live %q: disruptions arrive as commands, not a Script", name)
 	}
-
-	res := &Result{Triple: cfg.Name(), Workload: name, MaxProcs: maxProcs, Streamed: true}
+	var e engine
+	if err := e.single(name, maxProcs, cfg); err != nil {
+		return nil, err
+	}
 	live := make(map[int64]*job.Job)
-	e := &engine{
-		corrector: corrector,
-		clusters: []*clusterState{{
-			speed:     1,
-			machine:   platform.New(maxProcs),
-			queue:     make([]*job.Job, 0, 64),
-			policy:    cfg.Policy,
-			predictor: cfg.Predictor,
-		}},
-		sink:    &liveTracker{live: live, next: cfg.Sink},
-		res:     res,
-		targets: make(map[int64]*cancelTarget),
-		arena:   new(job.Arena),
-	}
-	e.instrument(cfg.Tracer, cfg.Profile)
+	e.sink = &liveTracker{live: live, next: cfg.Sink}
+	e.res.Streamed = true
+	e.intake = "live"
+	e.targets = make(map[int64]*cancelTarget)
+	e.arena = new(job.Arena)
 
-	// admit is RunStream's admission, verbatim plus the live index: it
-	// runs when the event clock is about to reach the record's submit
-	// instant, so every pushed event is in the future.
-	lastSubmit := int64(math.MinInt64)
-	admit := func(rec swf.Job) error {
-		if rec.Procs() > maxProcs {
-			return fmt.Errorf("sim: job %d wider (%d) than machine (%d)", rec.JobNumber, rec.Procs(), maxProcs)
-		}
-		if rec.SubmitTime < lastSubmit {
-			return fmt.Errorf("sim: live %q not submit-ordered: job %d at %d after %d", name, rec.JobNumber, rec.SubmitTime, lastSubmit)
-		}
-		lastSubmit = rec.SubmitTime
-		j := e.arena.New(&rec)
-		if tgt := e.target(j.ID); tgt != nil {
-			if tgt.bound {
-				return fmt.Errorf("sim: live %q: duplicate job id %d targeted by a cancellation", name, j.ID)
-			}
-			tgt.bound = true
-			if tgt.canceled {
-				j.Canceled = true
-				res.Canceled++
-			} else {
-				tgt.j = j
-			}
-		}
-		if !j.Canceled {
-			live[j.ID] = j
-		}
-		e.q.Push(j.Submit, eventq.Submit, payload{j: j})
-		return nil
+	var cmd Command
+	next := func() (int64, error) {
+		var err error
+		cmd, err = src.NextCommand()
+		return cmd.Time, err
 	}
-
-	// cutoff is the advance promise: no future command's Time is below
-	// it, so queued events strictly before it are safe to pop without
-	// blocking for the next command. (Strictly: a future cancel at
-	// exactly the cutoff instant would still pop before a queued
-	// expiry there, so the boundary instant must wait.)
-	cutoff := int64(math.MinInt64)
+	// Admission is RunStream's plus the live index. The cutoff is the
+	// advance promise: no future command's Time is below it, so queued
+	// events strictly before it are safe to pop without blocking for the
+	// next command. (Strictly: a future cancel at exactly the cutoff
+	// instant would still pop before a queued expiry there, so the
+	// boundary instant must wait.)
 	lastTime := int64(math.MinInt64)
-	apply := func(cmd Command) error {
+	apply := func() error {
 		if cmd.Time < lastTime {
 			return fmt.Errorf("sim: live %q not time-ordered: %s command at %d after %d", name, cmd.Kind, cmd.Time, lastTime)
 		}
@@ -257,7 +216,13 @@ func RunLive(name string, maxProcs int64, src CommandSource, cfg Config) (*Resul
 			if cmd.Job.SubmitTime != cmd.Time {
 				return fmt.Errorf("sim: live %q: submit command at %d carries job %d submitting at %d", name, cmd.Time, cmd.Job.JobNumber, cmd.Job.SubmitTime)
 			}
-			return admit(cmd.Job)
+			j, err := e.admit(&cmd.Job)
+			if err != nil {
+				return err
+			}
+			if !j.Canceled {
+				live[j.ID] = j
+			}
 		case CmdCancel:
 			if tgt := e.targets[cmd.ID]; tgt == nil {
 				tgt = &cancelTarget{}
@@ -278,66 +243,13 @@ func RunLive(name string, maxProcs int64, src CommandSource, cfg Config) (*Resul
 			}
 			e.q.Push(cmd.Time, eventq.Restore, payload{procs: cmd.Procs})
 		case CmdAdvance:
-			if cmd.Time > cutoff {
-				cutoff = cmd.Time
+			if cmd.Time > e.cutoff {
+				e.cutoff = cmd.Time
 			}
 		default:
 			return fmt.Errorf("sim: live %q: unknown command kind %d", name, cmd.Kind)
 		}
 		return nil
 	}
-
-	var pending Command
-	havePending, exhausted := false, false
-	for {
-		// Top up commands: everything taking effect at or before the
-		// next event's instant must have pushed its event before that
-		// event pops (the kind order then serializes the instant
-		// correctly). Block for the next command only when the queue
-		// cannot safely progress without it — the head sits at or past
-		// the advance cutoff.
-		for !exhausted {
-			if !havePending {
-				if t, ok := e.q.PeekTime(); ok && t < cutoff {
-					break
-				}
-				cmd, err := src.NextCommand()
-				if err == io.EOF {
-					exhausted = true
-					break
-				}
-				if err != nil {
-					return nil, fmt.Errorf("sim: live %q: %w", name, err)
-				}
-				pending, havePending = cmd, true
-			}
-			if t, ok := e.q.PeekTime(); ok && pending.Time > t {
-				break
-			}
-			if err := apply(pending); err != nil {
-				return nil, err
-			}
-			havePending = false
-		}
-
-		ev, ok := e.pop()
-		if !ok {
-			if exhausted && !havePending {
-				break
-			}
-			continue
-		}
-		res.Perf.Events++
-		e.handle(ev)
-	}
-
-	if n, first := e.queuedJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs never started (first: %d) — did the commands restore their drains?", n, first.ID)
-	}
-	if n := e.runningJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs still running after the event queue drained", n)
-	}
-	e.finishProfile()
-	res.Perf.WallNanos = time.Since(wallStart).Nanoseconds()
-	return res, nil
+	return e.run(next, apply)
 }

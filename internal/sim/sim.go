@@ -23,21 +23,22 @@
 // running. The realized capacity timeline is recorded on the Result so
 // validation can check the schedule against it.
 //
-// The engine has five drivers over one shared event core (engine.go):
-// Run preloads a trace.Workload and retains every job on the Result —
-// the validating, table-producing path — while RunStream (stream.go)
-// pulls submissions lazily from a workload.Source and retires finished
-// jobs into a JobSink, keeping peak memory O(live jobs + window)
-// regardless of trace length; RunFederated and RunFederatedStream
-// (federated.go) drive N per-cluster states behind a sched.Router
-// consulted once per job at submission, with the single-machine drivers
-// being the 1-cluster special case; and RunLive (live.go) advances the
-// core under an externally produced command stream — submissions,
-// cancellations and capacity changes from live clients, sequenced by
-// internal/schedd — with advance promises standing in for the script's
-// complete knowledge of the future. A differential test harness
-// (stream_diff_test.go, federated_diff_test.go, live_diff_test.go)
-// holds every driver to decision-identical schedules.
+// Five entry points share one event core and one run loop (engine.go),
+// differing only in how they build and feed it. Run preloads a
+// trace.Workload and retains every job on the Result — the validating,
+// table-producing path — while RunStream (stream.go) pulls submissions
+// lazily from a workload.Source and retires finished jobs into a
+// JobSink, keeping peak memory O(live jobs + window) regardless of trace
+// length; RunFederated and RunFederatedStream (federated.go) are the
+// same two paths over N cluster states behind a sched.Router consulted
+// once per job at submission, a single machine being the one-cluster
+// case without a router; and RunLive (live.go) feeds the loop an
+// external command stream — submissions, cancellations and capacity
+// changes from live clients, sequenced by internal/schedd — with advance
+// promises standing in for the script's complete knowledge of the
+// future. A differential test harness (stream_diff_test.go,
+// federated_diff_test.go, live_diff_test.go) holds every driver to
+// decision-identical schedules.
 //
 // # Determinism invariants
 //
@@ -55,14 +56,7 @@
 //     are ever "equal".
 //   - Router sequencing. Federated drivers consult the router once per
 //     job in trace submission order, against cluster states that have
-//     advanced exactly to that job's submission instant. The parallel
-//     sharded driver (parallel.go, FederatedConfig.Shards) keeps the
-//     router as this global sequencing boundary — shards quiesce up to
-//     each routing instant before the router reads their state — so
-//     every routing decision, and therefore every schedule, is
-//     byte-identical to the sequential driver's for every shard count
-//     (proven by parallel_diff_test.go, including trace capture, whose
-//     merge replays the sequential queue's exact emission order).
+//     advanced exactly to that job's submission instant.
 package sim
 
 import (
@@ -243,91 +237,64 @@ type ClusterResult struct {
 // scheduling-logic violations (overbooking, double starts) panic, since
 // they are bugs. For bounded-memory replay of huge traces see RunStream.
 func Run(w *trace.Workload, cfg Config) (*Result, error) {
-	wallStart := time.Now()
-	corrector, err := checkConfig(cfg)
-	if err != nil {
+	var e engine
+	if err := e.single(w.Name, w.MaxProcs, cfg); err != nil {
 		return nil, err
 	}
+	return e.preload(w, cfg.Script)
+}
 
+// single initializes the engine of a single-machine run: the
+// one-cluster special case of FederatedConfig.setup, with no router, no
+// cluster name and no per-cluster result slot.
+func (e *engine) single(name string, maxProcs int64, cfg Config) error {
+	corrector, err := checkConfig(cfg)
+	if err != nil {
+		return err
+	}
+	e.init(&Result{Triple: cfg.Name(), Workload: name, MaxProcs: maxProcs}, nil, cfg.Sink, cfg.Tracer, cfg.Profile)
+	e.corrector = corrector
+	e.addCluster(platform.Cluster{Procs: maxProcs}, cfg, nil)
+	return nil
+}
+
+// preload queues every job of w and the script up front and runs to
+// completion, retaining the jobs on Result.Jobs in submission order.
+func (e *engine) preload(w *trace.Workload, script *scenario.Script) (*Result, error) {
 	// One slab holds every runtime job: the preloading path retains them
 	// all on the Result anyway, so allocating them individually only
-	// fragments the heap and costs one allocation per job.
+	// fragments the heap and costs one allocation per job. (The
+	// recycling arena is for streamed runs only: a retained job must
+	// never be reused.)
 	slab := make([]job.Job, len(w.Jobs))
 	jobs := make([]*job.Job, len(w.Jobs))
-	byID := make(map[int64]*job.Job, len(w.Jobs))
-	res := &Result{Triple: cfg.Name(), Workload: w.Name, MaxProcs: w.MaxProcs, Jobs: jobs}
-	e := &engine{
-		corrector: corrector,
-		clusters: []*clusterState{{
-			speed:     1,
-			machine:   platform.New(w.MaxProcs),
-			queue:     make([]*job.Job, 0, 64),
-			policy:    cfg.Policy,
-			predictor: cfg.Predictor,
-		}},
-		sink: cfg.Sink,
-		res:  res,
-	}
-	e.instrument(cfg.Tracer, cfg.Profile)
+	e.res.Jobs = jobs
 	// The queue holds all n submissions up front plus the live jobs'
 	// finish/expiry events; reserving once avoids every growth copy.
 	e.q.Reserve(len(w.Jobs) + 64)
 	for i := range w.Jobs {
 		r := &w.Jobs[i]
-		if r.Procs() > w.MaxProcs {
-			return nil, fmt.Errorf("sim: job %d wider (%d) than machine (%d)", r.JobNumber, r.Procs(), w.MaxProcs)
+		if r.Procs() > e.widest {
+			return nil, e.tooWide(r)
 		}
 		j := &slab[i]
 		job.FromSWFInto(j, r)
 		jobs[i] = j
-		byID[j.ID] = j
 		e.q.Push(j.Submit, eventq.Submit, payload{j: j})
 	}
-
-	if !cfg.Script.Empty() {
-		res.Scenario = cfg.Script.Name
-		for _, ev := range cfg.Script.Events {
-			switch {
-			case ev.Time < 0:
-				return nil, fmt.Errorf("sim: scenario event at negative instant %d", ev.Time)
-			case ev.Cluster != "":
-				return nil, fmt.Errorf("sim: scenario targets cluster %q but the run is single-machine (use RunFederated)", ev.Cluster)
-			case ev.Action == scenario.Drain && ev.Procs > 0:
-				e.q.Push(ev.Time, eventq.Drain, payload{procs: ev.Procs})
-			case ev.Action == scenario.Restore && ev.Procs > 0:
-				e.q.Push(ev.Time, eventq.Restore, payload{procs: ev.Procs})
-			case ev.Action == scenario.Cancel:
-				if j := byID[ev.JobID]; j != nil {
-					e.q.Push(ev.Time, eventq.Cancel, payload{j: j})
-				}
-				// Unknown IDs are ignored: scripts derived from a raw
-				// log may name jobs the workload cleaning dropped.
-			default:
-				return nil, fmt.Errorf("sim: scenario %s event with %d processors", ev.Action, ev.Procs)
-			}
+	// Cancellations resolve against the workload's IDs at setup; the ID
+	// index is built only when there is a script to name a job.
+	var byID map[int64]*job.Job
+	if !script.Empty() {
+		byID = make(map[int64]*job.Job, len(jobs))
+		for _, j := range jobs {
+			byID[j.ID] = j
 		}
 	}
-
-	for {
-		ev, ok := e.pop()
-		if !ok {
-			break
-		}
-		res.Perf.Events++
-		e.handle(ev)
+	if err := e.pushScript(script, byID); err != nil {
+		return nil, err
 	}
-
-	if n, first := e.queuedJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs never started (first: %d) — did the scenario restore its drains?", n, first.ID)
-	}
-	for _, j := range jobs {
-		if !j.Finished && !j.Canceled {
-			return nil, fmt.Errorf("sim: job %d never finished", j.ID)
-		}
-	}
-	e.finishProfile()
-	res.Perf.WallNanos = time.Since(wallStart).Nanoseconds()
-	return res, nil
+	return e.run(nil, nil)
 }
 
 // checkConfig validates the triple and resolves the default corrector.

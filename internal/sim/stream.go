@@ -2,12 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/eventq"
 	"repro/internal/job"
-	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/swf"
 	"repro/internal/workload"
@@ -32,139 +29,73 @@ import (
 // those benign pops; decisions and metrics are unaffected (the extra
 // scheduling pass sees unchanged state and starts nothing).
 func RunStream(name string, maxProcs int64, src workload.Source, cfg Config) (*Result, error) {
-	wallStart := time.Now()
-	corrector, err := checkConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
 	if maxProcs <= 0 {
 		return nil, fmt.Errorf("sim: stream %q: machine size %d must be positive", name, maxProcs)
 	}
+	var e engine
+	if err := e.single(name, maxProcs, cfg); err != nil {
+		return nil, err
+	}
+	return e.stream(src, cfg.Script)
+}
+
+// stream runs the engine over a lazily pulled source. Scenario events
+// enter the queue up front, exactly as on the preloading path —
+// same-instant ordering between same-kind events is script order either
+// way. Cancellations are keyed by job ID and resolved against the
+// bounded target map when they fire.
+func (e *engine) stream(src workload.Source, script *scenario.Script) (*Result, error) {
 	if src == nil {
-		return nil, fmt.Errorf("sim: stream %q: nil source", name)
+		return nil, fmt.Errorf("sim: stream %q: nil source", e.res.Workload)
 	}
-
-	res := &Result{Triple: cfg.Name(), Workload: name, MaxProcs: maxProcs, Streamed: true}
-	e := &engine{
-		corrector: corrector,
-		clusters: []*clusterState{{
-			speed:     1,
-			machine:   platform.New(maxProcs),
-			queue:     make([]*job.Job, 0, 64),
-			policy:    cfg.Policy,
-			predictor: cfg.Predictor,
-		}},
-		sink:  cfg.Sink,
-		res:   res,
-		arena: new(job.Arena),
+	e.res.Streamed = true
+	e.intake = "stream"
+	e.arena = new(job.Arena)
+	if err := e.pushScript(script, nil); err != nil {
+		return nil, err
 	}
-	e.instrument(cfg.Tracer, cfg.Profile)
+	var rec swf.Job
+	next := func() (int64, error) {
+		var err error
+		rec, err = src.NextJob()
+		return rec.SubmitTime, err
+	}
+	return e.run(next, func() error {
+		_, err := e.admit(&rec)
+		return err
+	})
+}
 
-	// Scenario events enter the queue up front, exactly as on the
-	// preloading path — same-instant ordering between same-kind events
-	// is script order either way. Cancellations are keyed by job ID and
-	// resolved against the bounded target map when they fire.
-	if !cfg.Script.Empty() {
-		res.Scenario = cfg.Script.Name
-		e.targets = make(map[int64]*cancelTarget)
-		for _, ev := range cfg.Script.Events {
-			switch {
-			case ev.Time < 0:
-				return nil, fmt.Errorf("sim: scenario event at negative instant %d", ev.Time)
-			case ev.Cluster != "":
-				return nil, fmt.Errorf("sim: scenario targets cluster %q but the run is single-machine (use RunFederatedStream)", ev.Cluster)
-			case ev.Action == scenario.Drain && ev.Procs > 0:
-				e.q.Push(ev.Time, eventq.Drain, payload{procs: ev.Procs})
-			case ev.Action == scenario.Restore && ev.Procs > 0:
-				e.q.Push(ev.Time, eventq.Restore, payload{procs: ev.Procs})
-			case ev.Action == scenario.Cancel:
-				if e.targets[ev.JobID] == nil {
-					e.targets[ev.JobID] = &cancelTarget{}
-				}
-				e.q.Push(ev.Time, eventq.Cancel, payload{id: ev.JobID})
-			default:
-				return nil, fmt.Errorf("sim: scenario %s event with %d processors", ev.Action, ev.Procs)
-			}
+// admit turns the next source record into a live job and schedules its
+// submission. It runs when the event clock is about to reach the
+// record's submit instant, so every pushed event is in the future.
+func (e *engine) admit(rec *swf.Job) (*job.Job, error) {
+	if rec.Procs() > e.widest {
+		return nil, e.tooWide(rec)
+	}
+	if rec.SubmitTime < e.lastSubmit {
+		return nil, fmt.Errorf("sim: %s %q not submit-ordered: job %d at %d after %d", e.intake, e.res.Workload, rec.JobNumber, rec.SubmitTime, e.lastSubmit)
+	}
+	e.lastSubmit = rec.SubmitTime
+	// The arena copies the record into the job's slot; the slot is
+	// recycled when the job retires, so a steady-state stream allocates
+	// nothing per admission.
+	j := e.arena.New(rec)
+	if tgt := e.targets[j.ID]; tgt != nil {
+		if tgt.bound {
+			return nil, fmt.Errorf("sim: %s %q: duplicate job id %d targeted by a cancellation", e.intake, e.res.Workload, j.ID)
+		}
+		tgt.bound = true
+		if tgt.canceled {
+			// Canceled before submission: count it now (the cancel
+			// event fired before the job existed) and let the Submit
+			// event drop it, as the preloading path does.
+			j.Canceled = true
+			e.res.Canceled++
+		} else {
+			tgt.j = j
 		}
 	}
-
-	// admit turns the next source record into a live job and schedules
-	// its submission. It runs when the event clock is about to reach the
-	// record's submit instant, so every pushed event is in the future.
-	lastSubmit := int64(-1 << 62)
-	admit := func(rec swf.Job) error {
-		if rec.Procs() > maxProcs {
-			return fmt.Errorf("sim: job %d wider (%d) than machine (%d)", rec.JobNumber, rec.Procs(), maxProcs)
-		}
-		if rec.SubmitTime < lastSubmit {
-			return fmt.Errorf("sim: stream %q not submit-ordered: job %d at %d after %d", name, rec.JobNumber, rec.SubmitTime, lastSubmit)
-		}
-		lastSubmit = rec.SubmitTime
-		// The arena copies the record into the job's slot; the slot is
-		// recycled when the job retires, so a steady-state stream
-		// allocates nothing per admission.
-		j := e.arena.New(&rec)
-		if tgt := e.target(j.ID); tgt != nil {
-			if tgt.bound {
-				return fmt.Errorf("sim: stream %q: duplicate job id %d targeted by a cancellation", name, j.ID)
-			}
-			tgt.bound = true
-			if tgt.canceled {
-				// Canceled before submission: count it now (the cancel
-				// event fired before the job existed) and let the Submit
-				// event drop it, as the preloading path does.
-				j.Canceled = true
-				res.Canceled++
-			} else {
-				tgt.j = j
-			}
-		}
-		e.q.Push(j.Submit, eventq.Submit, payload{j: j})
-		return nil
-	}
-
-	var pending swf.Job
-	havePending, exhausted := false, false
-	for {
-		// Top up arrivals: everything submitting at or before the next
-		// event's instant must be in the queue before that event pops
-		// (the kind order then serializes the instant correctly).
-		for !exhausted {
-			if !havePending {
-				rec, err := src.NextJob()
-				if err == io.EOF {
-					exhausted = true
-					break
-				}
-				if err != nil {
-					return nil, fmt.Errorf("sim: stream %q: %w", name, err)
-				}
-				pending, havePending = rec, true
-			}
-			if t, ok := e.q.PeekTime(); ok && pending.SubmitTime > t {
-				break
-			}
-			if err := admit(pending); err != nil {
-				return nil, err
-			}
-			havePending = false
-		}
-
-		ev, ok := e.pop()
-		if !ok {
-			break
-		}
-		res.Perf.Events++
-		e.handle(ev)
-	}
-
-	if n, first := e.queuedJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs never started (first: %d) — did the scenario restore its drains?", n, first.ID)
-	}
-	if n := e.runningJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs still running after the event queue drained", n)
-	}
-	e.finishProfile()
-	res.Perf.WallNanos = time.Since(wallStart).Nanoseconds()
-	return res, nil
+	e.q.Push(j.Submit, eventq.Submit, payload{j: j})
+	return j, nil
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -167,9 +168,9 @@ func TestResolvedWorkloadsCarriesClients(t *testing.T) {
 	}
 }
 
-// TestShardsTopLevel: regression — shards: was read by the resolver but
-// missing from the top-level key whitelist, so any spec using it was
-// rejected as an unknown field.
+// TestShardsTopLevel: the shards: field selected a parallel sharded
+// driver that no longer exists. A spec still carrying it must fail to
+// load with an error naming the field, not run sequentially unnoticed.
 func TestShardsTopLevel(t *testing.T) {
 	path := writeSpec(t, t.TempDir(), "sharded.yaml", `
 kind: campaign
@@ -180,11 +181,11 @@ clusters:
   - 100
   - 64x1.5
 `)
-	s, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
+	_, err := Load(path)
+	if err == nil {
+		t.Fatal("a spec with shards: loaded; want an unknown-field error")
 	}
-	if s.Shards != 2 {
-		t.Fatalf("shards decoded as %d, want 2", s.Shards)
+	if !strings.Contains(err.Error(), `"shards"`) {
+		t.Fatalf("error does not name the shards field: %v", err)
 	}
 }

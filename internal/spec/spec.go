@@ -52,11 +52,6 @@ type Spec struct {
 	// Stream runs every cell on the bounded-memory engine (see
 	// campaign.Campaign.Stream): same tables, O(live jobs) per cell.
 	Stream bool
-	// Shards runs each streaming federated cell on the parallel sharded
-	// driver with this many per-cluster event loops (see
-	// campaign.FederatedCampaign.Shards). 0 = sequential; requires
-	// stream: true and a federated (clusters) grid.
-	Shards int
 	// Workloads are the grid's inputs.
 	Workloads []WorkloadSpec
 	// Triples is the heuristic-triple set (nil = the kind's default).
@@ -143,7 +138,6 @@ type Overrides struct {
 	Seed        *uint64
 	Parallelism *int
 	Stream      *bool
-	Shards      *int
 	Journal     *string
 	Resume      *bool
 	Perf        *bool
@@ -177,9 +171,6 @@ func (s *Spec) Apply(o Overrides) {
 	}
 	if o.Stream != nil {
 		s.Stream = *o.Stream
-	}
-	if o.Shards != nil {
-		s.Shards = *o.Shards
 	}
 	if o.Journal != nil {
 		s.Output.Journal = *o.Journal
@@ -474,7 +465,6 @@ func (s *Spec) FederatedCampaign(ws []*trace.Workload) *campaign.FederatedCampai
 		Parallelism: s.Parallelism,
 		Seed:        s.Seed,
 		Stream:      s.Stream,
-		Shards:      s.Shards,
 	}
 }
 
